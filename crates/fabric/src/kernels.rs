@@ -104,7 +104,7 @@ impl UnrollSchedule {
     /// The schedule as band hints for [`CompiledSpmv::compile`]: the host
     /// plan compiler specializes each entry's rows without ever crossing an
     /// entry boundary, so the MSID set structure survives into the compiled
-    /// plan's partition points.
+    /// plan's band boundaries.
     pub fn band_hints(&self) -> Vec<BandHint> {
         self.entries
             .iter()
@@ -874,8 +874,8 @@ impl<T: Scalar> Kernels<T> for FabricKernels {
         // Substitution streams the triangle once like an SpMV pass, but
         // every topological level must drain before the next may issue, so
         // each level pays a pipeline refill. Narrow schedules (many
-        // levels) therefore cost proportionally more — the level-count
-        // sensitivity the bench's scaling section measures.
+        // levels) therefore cost proportionally more. The host computes
+        // the same result with one serial natural-order loop.
         self.counts.spmv_calls += 1;
         self.counts.spmv_nnz_processed += plan.tri_nnz() as u64;
         self.counts.spmv_flops += 2 * plan.tri_nnz() as u64;
@@ -883,19 +883,12 @@ impl<T: Scalar> Kernels<T> for FabricKernels {
         self.cycles.spmv += cyc;
         self.capacity_flops += cyc as f64 * 2.0;
         self.telemetry.counter_add(Counter::SptrsvApplies, 1);
-        if self.policy.is_fast() {
-            let mut scratch: Vec<T> = match &self.workspace {
-                Some(ws) => ws.take(plan.max_level_width()),
-                None => vec![T::ZERO; plan.max_level_width()],
-            };
-            plan.execute_fast(m, b, x, 1, &mut scratch)
-                .expect("sptrsv shape mismatch");
-            if let Some(ws) = &self.workspace {
-                ws.give(scratch);
-            }
+        let result = if self.policy.is_fast() {
+            plan.solve_fast(m, b, x)
         } else {
-            plan.solve_serial(m, b, x).expect("sptrsv shape mismatch");
-        }
+            plan.solve_serial(m, b, x)
+        };
+        result.expect("sptrsv shape mismatch");
         // The SpTRSV fault seam: a stuck-at line in the substitution
         // datapath corrupts the freshly produced vector exactly like the
         // SpMV seam corrupts `y` (same per-attempt stuck-raw roll).

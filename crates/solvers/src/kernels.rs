@@ -8,15 +8,9 @@
 //! their hardware execution (Section IV).
 
 use crate::workspace::WorkspaceHandle;
-use acamar_sparse::{
-    chunk, simd, CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, Scalar,
-};
+use acamar_sparse::{simd, CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, Scalar};
 use acamar_telemetry::{Counter, TelemetrySink};
 use std::sync::Arc;
-
-/// Minimum stored entries before [`SoftwareKernels`] considers the
-/// row-partitioned parallel SpMV path worth its thread-dispatch cost.
-pub const PARALLEL_SPMV_MIN_NNZ: usize = 1 << 16;
 
 /// Execution phase of a solver, reported to the kernel executor.
 ///
@@ -172,15 +166,18 @@ pub trait Kernels<T: Scalar> {
         sor_sweep_reference(a, diag, omega, b, x);
     }
 
-    /// Sparse triangular solve `x = tri(m)⁻¹ b` through a compiled level
-    /// schedule (see [`CompiledSptrsv`]) — the substitution kernel of the
+    /// Sparse triangular solve `x = tri(m)⁻¹ b` through a compiled plan
+    /// (see [`CompiledSptrsv`]) — the substitution kernel of the
     /// incomplete-factorization preconditioners. Entries of `m` outside
     /// the plan's triangle are ignored.
     ///
-    /// The default runs the serial substitution reference and charges
-    /// nothing; [`SoftwareKernels`] adds operation accounting and the
-    /// level-parallel path, and the fabric executor additionally models
-    /// cycles and the SpTRSV fault seam.
+    /// Substitution is serial on every executor; host parallelism lives
+    /// across jobs, not inside one solve. The default runs the
+    /// Deterministic-tier substitution and charges nothing;
+    /// [`SoftwareKernels`] adds operation accounting and the `Fast`-tier
+    /// row kernel, and the fabric executor additionally models cycles
+    /// (one pipeline refill per level of the plan's schedule) and the
+    /// SpTRSV fault seam.
     ///
     /// # Panics
     ///
@@ -233,7 +230,6 @@ pub trait Kernels<T: Scalar> {
 pub struct SoftwareKernels {
     counts: OpCounts,
     workspace: Option<WorkspaceHandle>,
-    spmv_threads: usize,
     plan: Option<Arc<CompiledSpmv>>,
     telemetry: TelemetrySink,
     policy: DeterminismPolicy,
@@ -244,7 +240,6 @@ impl Default for SoftwareKernels {
         SoftwareKernels {
             counts: OpCounts::default(),
             workspace: None,
-            spmv_threads: 1,
             plan: None,
             telemetry: TelemetrySink::disabled(),
             policy: DeterminismPolicy::Deterministic,
@@ -265,24 +260,13 @@ impl SoftwareKernels {
         self
     }
 
-    /// Enables the row-partitioned parallel SpMV path with up to
-    /// `threads` OS threads for matrices of at least
-    /// [`PARALLEL_SPMV_MIN_NNZ`] stored entries. `0` and `1` both mean
-    /// serial. Row partitions write disjoint output slices, so results
-    /// are bitwise identical to the serial path at any thread count.
-    pub fn with_spmv_threads(mut self, threads: usize) -> Self {
-        self.spmv_threads = threads.max(1);
-        self
-    }
-
     /// Installs a compiled SpMV execution plan (see
     /// [`CompiledSpmv`]). [`Kernels::spmv`] and [`Kernels::spmv_dot`] use
     /// the plan's format-specialized band kernels — bitwise identical to
     /// the generic CSR walk — whenever the operand matrix matches the
     /// plan's shape, and fall back to the generic path otherwise (solvers
     /// like Jacobi pass derived iteration matrices through the same
-    /// executor). The parallel path partitions rows at band boundaries, so
-    /// threads never split a band.
+    /// executor). Execution is serial; host parallelism lives across jobs.
     pub fn with_compiled_plan(mut self, plan: Arc<CompiledSpmv>) -> Self {
         self.plan = Some(plan);
         self
@@ -353,88 +337,17 @@ pub fn sor_sweep_reference<T: Scalar>(
     }
 }
 
-/// `y = A x` with rows partitioned into contiguous chunks (via
-/// [`chunk::row_chunks`]) executed on scoped OS threads. Each chunk owns a
-/// disjoint slice of `y`, so the result is bitwise identical to the
-/// serial row loop.
-fn parallel_spmv<T: Scalar>(a: &CsrMatrix<T>, x: &[T], y: &mut [T], threads: usize) {
-    assert_eq!(x.len(), a.ncols(), "spmv shape mismatch");
-    assert_eq!(y.len(), a.nrows(), "spmv shape mismatch");
-    let chunks = chunk::row_chunks(a, a.nrows().div_ceil(threads).max(1));
-    let mut rest = y;
-    std::thread::scope(|s| {
-        for c in &chunks {
-            let rows = c.rows.clone();
-            let (head, tail) = rest.split_at_mut(rows.len());
-            rest = tail;
-            s.spawn(move || {
-                for (i, yi) in rows.zip(head.iter_mut()) {
-                    let (cols, vals) = a.row(i);
-                    let mut acc = T::ZERO;
-                    for (&c, &v) in cols.iter().zip(vals) {
-                        acc += v * x[c];
-                    }
-                    *yi = acc;
-                }
-            });
-        }
-    });
-}
-
-/// `y = A x` through a compiled plan, with band spans executed on scoped
-/// OS threads. Partition points are band boundaries
-/// ([`CompiledSpmv::partition`]), so no thread ever splits a band and the
-/// result is bitwise identical to serial plan execution (and to the
-/// generic row loop).
-fn parallel_compiled_spmv<T: Scalar>(
-    plan: &CompiledSpmv,
-    a: &CsrMatrix<T>,
-    x: &[T],
-    y: &mut [T],
-    threads: usize,
-    policy: DeterminismPolicy,
-) {
-    assert_eq!(x.len(), a.ncols(), "spmv shape mismatch");
-    assert_eq!(y.len(), a.nrows(), "spmv shape mismatch");
-    let spans = plan.partition(threads);
-    let mut rest = y;
-    let mut row = 0usize;
-    std::thread::scope(|s| {
-        for span in spans {
-            let rows = plan.span_rows(span.clone());
-            debug_assert_eq!(rows.start, row);
-            row = rows.end;
-            let (head, tail) = rest.split_at_mut(rows.len());
-            rest = tail;
-            s.spawn(move || {
-                if policy.is_fast() {
-                    plan.execute_span_fast(span, a, x, head);
-                } else {
-                    plan.execute_span(span, a, x, head);
-                }
-            });
-        }
-    });
-}
-
 impl<T: Scalar> Kernels<T> for SoftwareKernels {
     fn spmv(&mut self, a: &CsrMatrix<T>, x: &[T], y: &mut [T]) {
         match &self.plan {
             Some(plan) if plan.matches(a) => {
-                if self.spmv_threads > 1 && a.nnz() >= PARALLEL_SPMV_MIN_NNZ {
-                    parallel_compiled_spmv(plan, a, x, y, self.spmv_threads, self.policy);
-                } else if self.policy.is_fast() {
+                if self.policy.is_fast() {
                     plan.execute_fast(a, x, y).expect("spmv shape mismatch");
                 } else {
                     plan.execute(a, x, y).expect("spmv shape mismatch");
                 }
             }
-            _ if self.spmv_threads > 1 && a.nnz() >= PARALLEL_SPMV_MIN_NNZ => {
-                parallel_spmv(a, x, y, self.spmv_threads);
-            }
-            _ => {
-                a.mul_vec_into(x, y).expect("spmv shape mismatch");
-            }
+            _ => a.mul_vec_into(x, y).expect("spmv shape mismatch"),
         }
         self.counts.spmv_calls += 1;
         self.counts.spmv_nnz_processed += a.nnz() as u64;
@@ -520,19 +433,12 @@ impl<T: Scalar> Kernels<T> for SoftwareKernels {
         self.counts.spmv_nnz_processed += plan.tri_nnz() as u64;
         self.counts.spmv_flops += 2 * plan.tri_nnz() as u64;
         self.telemetry.counter_add(Counter::SptrsvApplies, 1);
-        let mut scratch: Vec<T> = match &self.workspace {
-            Some(ws) => ws.take(plan.max_level_width()),
-            None => vec![T::ZERO; plan.max_level_width()],
-        };
         let result = if self.policy.is_fast() {
-            plan.execute_fast(m, b, x, self.spmv_threads, &mut scratch)
+            plan.solve_fast(m, b, x)
         } else {
-            plan.execute(m, b, x, self.spmv_threads, &mut scratch)
+            plan.solve_serial(m, b, x)
         };
         result.expect("sptrsv shape mismatch");
-        if let Some(ws) = &self.workspace {
-            ws.give(scratch);
-        }
     }
 
     fn release_buffer(&mut self, buf: Vec<T>) {
@@ -709,23 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_spmv_is_bitwise_identical_to_serial() {
-        // 150x150 five-point grid: 22_500 rows, > 2^16 stored entries.
-        let a = generate::poisson2d::<f64>(150, 150);
-        assert!(a.nnz() >= PARALLEL_SPMV_MIN_NNZ);
-        let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.013).sin()).collect();
-        let mut serial = vec![0.0; a.nrows()];
-        Kernels::<f64>::spmv(&mut SoftwareKernels::new(), &a, &x, &mut serial);
-        for threads in [2, 5, 8] {
-            let mut k = SoftwareKernels::new().with_spmv_threads(threads);
-            let mut y = vec![0.0; a.nrows()];
-            k.spmv(&a, &x, &mut y);
-            assert_eq!(serial, y, "{threads} threads");
-            assert_eq!(Kernels::<f64>::counts(&k).spmv_calls, 1);
-        }
-    }
-
-    #[test]
     fn compiled_plan_spmv_is_bitwise_identical_and_falls_back() {
         use acamar_sparse::generate::RowDistribution;
         let a =
@@ -770,26 +659,6 @@ mod tests {
             Kernels::<f64>::counts(&plain),
             Kernels::<f64>::counts(&planned)
         );
-    }
-
-    #[test]
-    fn compiled_parallel_spmv_is_bitwise_identical_to_serial() {
-        let a = generate::poisson2d::<f64>(160, 160); // > 2^16 nnz
-        assert!(a.nnz() >= PARALLEL_SPMV_MIN_NNZ);
-        let plan = Arc::new(CompiledSpmv::compile_default(&a));
-        let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.017).cos()).collect();
-        let mut serial = vec![0.0; a.nrows()];
-        let mut sk = SoftwareKernels::new().with_compiled_plan(plan.clone());
-        sk.spmv(&a, &x, &mut serial);
-        assert_eq!(serial, a.mul_vec(&x).unwrap());
-        for threads in [2, 3, 8] {
-            let mut k = SoftwareKernels::new()
-                .with_compiled_plan(plan.clone())
-                .with_spmv_threads(threads);
-            let mut y = vec![f64::NAN; a.nrows()];
-            k.spmv(&a, &x, &mut y);
-            assert_eq!(serial, y, "{threads} threads");
-        }
     }
 
     #[test]

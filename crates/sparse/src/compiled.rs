@@ -37,10 +37,11 @@
 //! interleaves work *across* rows, never the summation order *within* a row
 //! — so compiled results are bitwise-identical to the generic path.
 //!
-//! Band boundaries double as partition points for row-parallel SpMV:
-//! [`CompiledSpmv::partition`] splits the band list (never a band) into
-//! NNZ-balanced contiguous spans, so the parallel result is the same bytes
-//! at any thread count.
+//! Execution is serial: one thread walks the bands in row order. The
+//! paper's SpMV parallelism is spatial, inside one fabric datapath (the
+//! per-set unroll factors), and the host models that in the fabric cycle
+//! model; host parallelism lives across jobs (engine workers, service
+//! shards), never inside one SpMV.
 //!
 //! ## The `Fast` tier
 //!
@@ -99,7 +100,8 @@ pub const UNROLL_MIN_MEAN_NNZ: usize = 4;
 
 /// A contiguous row range and the unroll factor the MSID schedule assigned
 /// to it. The plan compiler never emits a band that crosses a hint boundary,
-/// so schedule boundaries survive as partition points.
+/// so schedule boundaries survive as band boundaries (which band patching
+/// relies on).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BandHint {
     /// Rows covered by this schedule entry.
@@ -145,7 +147,7 @@ pub struct Band {
     /// Start of this band's slots in the shared slot-column array
     /// (meaningful for `Fixed` and `Ell` bands only).
     slot_base: usize,
-    /// Stored entries in the band (drives NNZ-balanced partitioning).
+    /// Stored entries in the band (the length of its packed slot run).
     nnz: usize,
 }
 
@@ -684,45 +686,8 @@ impl CompiledSpmv {
         expected == self.nrows
     }
 
-    /// Splits the band list into at most `parts` contiguous, NNZ-balanced
-    /// spans of band indices. Threads never split a band, so parallel
-    /// execution is bitwise-identical to serial at any `parts`.
-    ///
-    /// Returned spans are non-empty, ascending, and tile `0..bands.len()`;
-    /// fewer than `parts` spans are returned when there are not enough
-    /// bands (or not enough work) to go around.
-    pub fn partition(&self, parts: usize) -> Vec<Range<usize>> {
-        let parts = parts.max(1);
-        let mut out = Vec::with_capacity(parts.min(self.bands.len()));
-        if self.bands.is_empty() {
-            return out;
-        }
-        let total = self.nnz.max(1);
-        let mut band = 0usize;
-        let mut done = 0usize;
-        for p in 0..parts {
-            if band == self.bands.len() {
-                break;
-            }
-            let remaining_parts = parts - p;
-            let target = done + (total - done).div_ceil(remaining_parts);
-            let start = band;
-            while band < self.bands.len() && (band == start || done < target) {
-                done += self.bands[band].nnz;
-                band += 1;
-            }
-            out.push(start..band);
-        }
-        // Any leftover bands (possible when late bands are empty) join the
-        // final span so the spans always tile the band list.
-        if let Some(last) = out.last_mut() {
-            last.end = self.bands.len();
-        }
-        out
-    }
-
     /// Rows covered by a contiguous span of bands.
-    pub fn span_rows(&self, bands: Range<usize>) -> Range<usize> {
+    fn span_rows(&self, bands: Range<usize>) -> Range<usize> {
         if bands.is_empty() || self.bands.is_empty() {
             return 0..0;
         }
@@ -814,11 +779,10 @@ impl CompiledSpmv {
     }
 
     /// Executes a contiguous span of bands into `y_span`, which must cover
-    /// exactly [`Self::span_rows`]`(bands)`. This is the unit of work a
-    /// parallel caller hands each thread; disjoint spans write disjoint
-    /// `y` slices. Allocation-free; no dimension checks (crate-visible
-    /// callers go through [`Self::execute`] or validated kernels).
-    pub fn execute_span<T: Scalar>(
+    /// exactly [`Self::span_rows`]`(bands)`. Allocation-free; no dimension
+    /// checks (callers go through [`Self::execute`] or
+    /// [`Self::execute_dot`], which validate first).
+    fn execute_span<T: Scalar>(
         &self,
         bands: Range<usize>,
         a: &CsrMatrix<T>,
@@ -920,10 +884,8 @@ impl CompiledSpmv {
     }
 
     /// `Fast`-tier twin of [`Self::execute_span`]: the same band walk with
-    /// the lane-accumulated kernels. Disjoint spans still write disjoint
-    /// `y` slices, so parallel callers partition identically on both
-    /// tiers. Allocation-free; no dimension checks.
-    pub fn execute_span_fast<T: Scalar>(
+    /// the lane-accumulated kernels. Allocation-free; no dimension checks.
+    fn execute_span_fast<T: Scalar>(
         &self,
         bands: Range<usize>,
         a: &CsrMatrix<T>,
@@ -1796,49 +1758,6 @@ mod tests {
         assert!(!plan.matches(&b));
         let mut y = vec![0.0; 17];
         assert!(plan.execute(&b, &[1.0; 17], &mut y).is_err());
-    }
-
-    #[test]
-    fn partitions_tile_bands_and_respect_boundaries() {
-        let a =
-            generate::random_pattern::<f64>(500, RowDistribution::Uniform { min: 1, max: 30 }, 13);
-        let plan = CompiledSpmv::compile_default(&a);
-        for parts in [1, 2, 3, 8, 64] {
-            let spans = plan.partition(parts);
-            assert!(spans.len() <= parts.max(1));
-            let mut next_band = 0usize;
-            let mut next_row = 0usize;
-            for span in &spans {
-                assert_eq!(span.start, next_band);
-                assert!(!span.is_empty());
-                next_band = span.end;
-                let rows = plan.span_rows(span.clone());
-                assert_eq!(rows.start, next_row);
-                next_row = rows.end;
-            }
-            assert_eq!(next_band, plan.bands().len());
-            assert_eq!(next_row, a.nrows());
-        }
-    }
-
-    #[test]
-    fn span_execution_matches_full_execution() {
-        let a =
-            generate::random_pattern::<f64>(311, RowDistribution::Uniform { min: 0, max: 24 }, 29);
-        let plan = CompiledSpmv::compile_default(&a);
-        let x = dense_x(a.ncols());
-        let mut full = vec![0.0f64; a.nrows()];
-        plan.execute(&a, &x, &mut full).unwrap();
-        for parts in [2, 5, 8] {
-            let mut y = vec![f64::NAN; a.nrows()];
-            for span in plan.partition(parts) {
-                let rows = plan.span_rows(span.clone());
-                plan.execute_span(span, &a, &x, &mut y[rows]);
-            }
-            for (got, want) in y.iter().zip(&full) {
-                assert_eq!(got.to_bits(), want.to_bits());
-            }
-        }
     }
 
     #[test]

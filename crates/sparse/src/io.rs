@@ -30,8 +30,11 @@ pub enum MmSymmetry {
 ///
 /// # Errors
 ///
-/// Returns [`IoError`] on malformed headers, non-numeric data, index
-/// overflow, or unsupported features (`complex` field, `array` container).
+/// Returns [`IoError`] on malformed headers, non-numeric or non-finite
+/// data (a value that overflows `T` counts as non-finite), index
+/// overflow, a size line no buffer could hold, a non-square `symmetric`
+/// or `skew-symmetric` matrix, or unsupported features (`complex` field,
+/// `array` container).
 ///
 /// # Examples
 ///
@@ -126,6 +129,30 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<CsrMatrix<T>,
         });
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
+    if symmetry != MmSymmetry::General && nrows != ncols {
+        return Err(parse_err(
+            line_no,
+            &format!("{symmetry:?} storage needs a square matrix, got {nrows}x{ncols}"),
+        ));
+    }
+    // `row_ptr` (and a transpose's `col_ptr`) needs `dim + 1` words and
+    // the staging buffer below `2 * nnz` triplets; a `Vec` may span at
+    // most `isize::MAX` bytes, so larger sizes cannot describe a matrix.
+    let fits = |count: Option<usize>, elem: usize| {
+        count
+            .and_then(|n| n.checked_mul(elem))
+            .is_some_and(|bytes| bytes <= isize::MAX as usize)
+    };
+    let word = std::mem::size_of::<usize>();
+    if !fits(nrows.checked_add(1), word)
+        || !fits(ncols.checked_add(1), word)
+        || !fits(nnz.checked_mul(2), std::mem::size_of::<(usize, usize, T)>())
+    {
+        return Err(parse_err(
+            line_no,
+            &format!("size line {nrows} {ncols} {nnz} overflows the address space"),
+        ));
+    }
 
     let mut coo = CooMatrix::<T>::with_capacity(nrows, ncols, nnz * 2);
     let mut seen = 0usize;
@@ -158,13 +185,17 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<CsrMatrix<T>,
         if i == 0 || j == 0 {
             return Err(parse_err(line_no, "matrix market indices are 1-based"));
         }
+        let value = T::from_f64(v);
+        if !value.to_f64().is_finite() {
+            return Err(parse_err(line_no, &format!("value {v} is not finite")));
+        }
         let (r, c) = (i - 1, j - 1);
-        coo.push(r, c, T::from_f64(v))?;
+        coo.push(r, c, value)?;
         match symmetry {
             MmSymmetry::General => {}
             MmSymmetry::Symmetric => {
                 if r != c {
-                    coo.push(c, r, T::from_f64(v))?;
+                    coo.push(c, r, value)?;
                 }
             }
             MmSymmetry::SkewSymmetric => {
@@ -302,6 +333,62 @@ mod tests {
             read_matrix_market::<f64, _>(text.as_bytes()),
             Err(IoError::Parse { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_non_square_symmetric_headers() {
+        for symmetry in ["symmetric", "skew-symmetric"] {
+            let text =
+                format!("%%MatrixMarket matrix coordinate real {symmetry}\n2 3 1\n2 1 1.0\n");
+            assert!(
+                matches!(
+                    read_matrix_market::<f64, _>(text.as_bytes()),
+                    Err(IoError::Parse { line: 2, .. })
+                ),
+                "{symmetry}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_values() {
+        for value in ["nan", "inf", "-inf", "NaN"] {
+            let text =
+                format!("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 {value}\n");
+            assert!(
+                matches!(
+                    read_matrix_market::<f64, _>(text.as_bytes()),
+                    Err(IoError::Parse { line: 3, .. })
+                ),
+                "{value}"
+            );
+        }
+        // Finite in the file but beyond f32's range: inf after conversion.
+        let text = "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1e300\n";
+        assert!(matches!(
+            read_matrix_market::<f32, _>(text.as_bytes()),
+            Err(IoError::Parse { line: 3, .. })
+        ));
+    }
+
+    #[test]
+    fn rejects_size_lines_that_overflow() {
+        let max = usize::MAX;
+        for size in [
+            format!("{max} 1 0"),
+            format!("1 {max} 0"),
+            format!("1 1 {max}"),
+            format!("{} 1 0", max / 2),
+        ] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n{size}\n");
+            assert!(
+                matches!(
+                    read_matrix_market::<f64, _>(text.as_bytes()),
+                    Err(IoError::Parse { line: 2, .. })
+                ),
+                "{size}"
+            );
+        }
     }
 
     #[test]

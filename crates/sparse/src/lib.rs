@@ -32,12 +32,13 @@
 //! * [`generate`] — deterministic matrix generators per structural class.
 //! * [`io`] — Matrix Market reader/writer.
 //! * [`stats`] — NNZ/row statistics and per-set averages (paper Eq. 7–9).
-//! * [`chunk`] — 4096-row chunking (paper §V-B).
+//! * [`chunk`] — the paper's 4096-row problem chunk (§V-B).
 //! * [`compiled`] — format-specialized SpMV execution plans compiled from
 //!   the MSID unroll schedule (paper Fig. 3 / Eq. 5, host twin).
 //! * [`simd`] — portable fixed-lane accumulators and the
 //!   [`DeterminismPolicy`] two-tier numeric contract (DESIGN §15).
-//! * [`sptrsv`] — level-scheduled sparse triangular solve plans for
+//! * [`sptrsv`] — compiled sparse triangular solve plans (serial
+//!   substitution plus the pattern's level schedule) for
 //!   incomplete-factorization preconditioners (DESIGN §17).
 
 #![warn(missing_docs)]

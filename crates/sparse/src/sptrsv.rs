@@ -1,13 +1,10 @@
-//! Level-scheduled sparse triangular solve (SpTRSV).
+//! Compiled sparse triangular solve (SpTRSV).
 //!
 //! Forward/backward substitution over a sparse triangular factor is the
 //! inner kernel of every incomplete-factorization preconditioner (DESIGN
 //! §17). Unlike SpMV it carries a dependency chain: row `i` of a lower
 //! triangle cannot start until every `x[j]` with `l_ij != 0, j < i` is
-//! final. The classic way to expose parallelism anyway is *level
-//! scheduling*: a topological layering of the row dependency DAG in which
-//! every row of a level depends only on rows of strictly earlier levels,
-//! so all rows within one level solve concurrently.
+//! final.
 //!
 //! [`CompiledSptrsv`] mirrors the [`crate::compiled::CompiledSpmv`]
 //! contract: it is **pattern-only** (no values captured), cheap to build
@@ -16,16 +13,24 @@
 //! an IC(0)/ILU(0) factor, whose pattern is by construction the triangle
 //! of the matrix it was factored from.
 //!
+//! Compilation also records the pattern's *level schedule*: a topological
+//! layering of the row dependency DAG in which every row of a level
+//! depends only on rows of strictly earlier levels. The host never runs
+//! the levels concurrently — substitution is one serial loop in natural
+//! row order, and host parallelism lives across jobs (engine workers,
+//! service shards). The level count is the critical-path length the
+//! fabric cycle model charges a pipeline refill for, and the level
+//! arrays are part of the pattern identity [`CompiledSptrsv::verify_pattern`]
+//! audits.
+//!
 //! ## Determinism contract
 //!
-//! Within a row the accumulation walks the CSR entries left to right,
-//! exactly like the serial reference, and rows never share a partial sum.
-//! Level-scheduled execution under
-//! [`DeterminismPolicy::Deterministic`](crate::DeterminismPolicy) is
-//! therefore **bitwise identical** to serial forward substitution at any
-//! worker count — the property `tests/properties.rs` locks down. The
-//! `Fast` tier re-associates each row's accumulation through
-//! [`Lanes4`](crate::simd::Lanes4) partial sums, trading bitwise
+//! [`CompiledSptrsv::solve_serial`] (the
+//! [`DeterminismPolicy::Deterministic`](crate::DeterminismPolicy) tier)
+//! walks each row's CSR entries left to right with one scalar
+//! accumulator, so its result is a fixed function of the inputs. The
+//! `Fast` tier ([`CompiledSptrsv::solve_fast`]) re-associates each row's
+//! accumulation through [`Lanes4`] partial sums, trading bitwise
 //! stability for within-row vectorization, mirroring the SpMV fast tier.
 
 use crate::csr::CsrMatrix;
@@ -138,7 +143,7 @@ impl CompiledSptrsv {
         }
         let nlevels = level.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
         // Counting sort of rows by level keeps rows ascending within each
-        // level, which downstream chunking relies on for reproducibility.
+        // level, so the schedule is a pure function of the pattern.
         let mut level_ptr = vec![0u32; nlevels + 1];
         for &l in &level {
             level_ptr[l as usize + 1] += 1;
@@ -181,25 +186,6 @@ impl CompiledSptrsv {
         self.level_ptr.len() - 1
     }
 
-    /// Width (row count) of the widest level — the scratch size
-    /// [`CompiledSptrsv::execute`] needs and the upper bound on usable
-    /// parallelism.
-    pub fn max_level_width(&self) -> usize {
-        self.level_ptr
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Mean rows per level; `nrows / level_count` parallelism on average.
-    pub fn avg_level_width(&self) -> f64 {
-        if self.level_count() == 0 {
-            return 0.0;
-        }
-        self.nrows as f64 / self.level_count() as f64
-    }
-
     /// Cheap provenance check: does `m` have the shape this plan was
     /// compiled for? Pattern equality is the caller's contract (plans are
     /// cached per pattern fingerprint); use
@@ -219,8 +205,10 @@ impl CompiledSptrsv {
         }
     }
 
-    /// Serial substitution in natural row order — the bitwise reference
-    /// the level-scheduled paths are validated against.
+    /// Deterministic-tier substitution: rows in natural order (ascending
+    /// for a lower triangle, descending for an upper one), each row's
+    /// entries accumulated left to right with a scalar chain. This is the
+    /// bitwise reference of [`DeterminismPolicy::Deterministic`](crate::DeterminismPolicy).
     ///
     /// Entries of `m` outside the plan's triangle are skipped, so passing
     /// the full matrix solves against its triangle implicitly.
@@ -236,79 +224,51 @@ impl CompiledSptrsv {
         b: &[T],
         x: &mut [T],
     ) -> Result<(), SparseError> {
+        self.substitute::<T, false>(m, b, x)
+    }
+
+    /// `Fast`-tier substitution: the same natural-order row loop as
+    /// [`CompiledSptrsv::solve_serial`], with each row's off-diagonal
+    /// products accumulated in [`Lanes4`] partial sums and reduced once.
+    /// Re-associates within a row, so results may differ from the
+    /// reference in the last ulps; still deterministic for a fixed build,
+    /// input, and plan.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompiledSptrsv::solve_serial`].
+    pub fn solve_fast<T: Scalar>(
+        &self,
+        m: &CsrMatrix<T>,
+        b: &[T],
+        x: &mut [T],
+    ) -> Result<(), SparseError> {
+        self.substitute::<T, true>(m, b, x)
+    }
+
+    /// The one substitution loop both tiers share. Every row reads only
+    /// `x` entries of rows that precede it in natural order, so the walk
+    /// needs no schedule.
+    fn substitute<T: Scalar, const FAST: bool>(
+        &self,
+        m: &CsrMatrix<T>,
+        b: &[T],
+        x: &mut [T],
+    ) -> Result<(), SparseError> {
         self.check_operands(m, b, x)?;
         match self.triangle {
             Triangle::Lower => {
                 for i in 0..self.nrows {
-                    x[i] = Self::row_solve_deterministic(m, i, b[i], x, self.triangle);
+                    x[i] = Self::row_solve::<T, FAST>(m, i, b[i], x, self.triangle);
                 }
             }
             Triangle::Upper => {
                 for i in (0..self.nrows).rev() {
-                    x[i] = Self::row_solve_deterministic(m, i, b[i], x, self.triangle);
+                    x[i] = Self::row_solve::<T, FAST>(m, i, b[i], x, self.triangle);
                 }
             }
         }
         Ok(())
-    }
-
-    /// Level-scheduled deterministic solve.
-    ///
-    /// `scratch` must hold at least [`CompiledSptrsv::max_level_width`]
-    /// elements; each level's results are computed into per-worker
-    /// disjoint scratch chunks and scattered back serially, so the result
-    /// is bitwise identical to [`CompiledSptrsv::solve_serial`] at any
-    /// `workers >= 1`.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledSptrsv::solve_serial`], plus
-    /// [`SparseError::DimensionMismatch`] when `scratch` is too small.
-    pub fn execute<T: Scalar>(
-        &self,
-        m: &CsrMatrix<T>,
-        b: &[T],
-        x: &mut [T],
-        workers: usize,
-        scratch: &mut [T],
-    ) -> Result<(), SparseError> {
-        self.execute_inner(m, b, x, workers, scratch, false)
-    }
-
-    /// Level-scheduled solve with `Lanes4` within-row accumulation (the
-    /// `Fast` determinism tier). Re-associates each row's partial sums,
-    /// so results may differ from the reference in the last ulps; still
-    /// deterministic for a fixed build, input, and plan.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledSptrsv::execute`].
-    pub fn execute_fast<T: Scalar>(
-        &self,
-        m: &CsrMatrix<T>,
-        b: &[T],
-        x: &mut [T],
-        workers: usize,
-        scratch: &mut [T],
-    ) -> Result<(), SparseError> {
-        self.execute_inner(m, b, x, workers, scratch, true)
-    }
-
-    /// Convenience wrapper over [`CompiledSptrsv::execute`] that owns its
-    /// scratch. Prefer `execute` with a pooled buffer in warm loops.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledSptrsv::execute`].
-    pub fn solve<T: Scalar>(
-        &self,
-        m: &CsrMatrix<T>,
-        b: &[T],
-        x: &mut [T],
-        workers: usize,
-    ) -> Result<(), SparseError> {
-        let mut scratch = vec![T::ZERO; self.max_level_width()];
-        self.execute(m, b, x, workers, &mut scratch)
     }
 
     fn check_operands<T: Scalar>(
@@ -340,90 +300,22 @@ impl CompiledSptrsv {
         Ok(())
     }
 
-    fn execute_inner<T: Scalar>(
-        &self,
-        m: &CsrMatrix<T>,
-        b: &[T],
-        x: &mut [T],
-        workers: usize,
-        scratch: &mut [T],
-        fast: bool,
-    ) -> Result<(), SparseError> {
-        self.check_operands(m, b, x)?;
-        let width_needed = self.max_level_width();
-        if scratch.len() < width_needed {
-            return Err(SparseError::DimensionMismatch {
-                expected: width_needed,
-                found: scratch.len(),
-                what: "sptrsv scratch length",
-            });
-        }
-        let workers = workers.max(1);
-        for l in 0..self.level_count() {
-            let rows = &self.order[self.level_ptr[l] as usize..self.level_ptr[l + 1] as usize];
-            let width = rows.len();
-            if workers == 1 || width < 2 * workers {
-                // Narrow level (or serial caller): solve in place — each
-                // row only reads x entries from earlier levels.
-                for &i in rows {
-                    let i = i as usize;
-                    x[i] = Self::row_solve(m, i, b[i], x, self.triangle, fast);
-                }
-                continue;
-            }
-            // Wide level: chunk the level's row list contiguously across
-            // workers. Each worker reads `x` immutably (entries final
-            // since earlier levels) and writes its disjoint scratch
-            // chunk; the serial scatter below keeps all mutation of `x`
-            // on this thread, so the whole scheme is safe Rust and
-            // bitwise independent of the worker count.
-            let scratch = &mut scratch[..width];
-            let chunk = width.div_ceil(workers);
-            let x_ro: &[T] = x;
-            std::thread::scope(|scope| {
-                let mut remaining = &mut scratch[..];
-                let mut offset = 0usize;
-                while offset < width {
-                    let take = chunk.min(width - offset);
-                    let (mine, rest) = remaining.split_at_mut(take);
-                    remaining = rest;
-                    let rows = &rows[offset..offset + take];
-                    let triangle = self.triangle;
-                    scope.spawn(move || {
-                        for (slot, &i) in mine.iter_mut().zip(rows) {
-                            let i = i as usize;
-                            *slot = Self::row_solve(m, i, b[i], x_ro, triangle, fast);
-                        }
-                    });
-                    offset += take;
-                }
-            });
-            for (&i, &v) in rows.iter().zip(scratch.iter()) {
-                x[i as usize] = v;
-            }
-        }
-        Ok(())
-    }
-
     #[inline]
-    fn row_solve<T: Scalar>(
+    fn row_solve<T: Scalar, const FAST: bool>(
         m: &CsrMatrix<T>,
         i: usize,
         bi: T,
         x: &[T],
         tri: Triangle,
-        fast: bool,
     ) -> T {
-        if fast {
+        if FAST {
             Self::row_solve_fast(m, i, bi, x, tri)
         } else {
             Self::row_solve_deterministic(m, i, bi, x, tri)
         }
     }
 
-    /// One row of substitution, CSR entry order, scalar accumulation —
-    /// identical arithmetic in the serial reference and every
-    /// deterministic level-scheduled chunk.
+    /// One row of substitution, CSR entry order, scalar accumulation.
     #[inline]
     fn row_solve_deterministic<T: Scalar>(
         m: &CsrMatrix<T>,
@@ -541,22 +433,45 @@ mod tests {
     }
 
     #[test]
-    fn level_scheduled_is_bitwise_identical_to_serial() {
+    fn level_order_is_a_valid_schedule() {
+        // Walking the rows level by level reads only `x` entries that are
+        // already final, so it reproduces the natural-order substitution
+        // bit for bit on both tiers. This is what makes the level count a
+        // faithful critical-path length for the fabric cycle model.
         for seed in [1u64, 2, 3] {
             let l = random_lower(96, seed);
             let plan = CompiledSptrsv::compile_lower(&l).unwrap();
             let b: Vec<f64> = (0..96).map(|i| (i as f64 * 0.37).cos()).collect();
-            let mut reference = vec![0.0; 96];
-            plan.solve_serial(&l, &b, &mut reference).unwrap();
-            for workers in [1usize, 2, 4, 8] {
-                let mut x = vec![0.0; 96];
-                plan.solve(&l, &b, &mut x, workers).unwrap();
-                assert_eq!(
-                    x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "workers={workers} seed={seed}"
-                );
+            let mut det = vec![0.0; 96];
+            plan.solve_serial(&l, &b, &mut det).unwrap();
+            let mut fast = vec![0.0; 96];
+            plan.solve_fast(&l, &b, &mut fast).unwrap();
+            let mut det_levels = vec![f64::NAN; 96];
+            let mut fast_levels = vec![f64::NAN; 96];
+            for lvl in 0..plan.level_count() {
+                let rows =
+                    &plan.order[plan.level_ptr[lvl] as usize..plan.level_ptr[lvl + 1] as usize];
+                for &i in rows {
+                    let i = i as usize;
+                    det_levels[i] = CompiledSptrsv::row_solve::<f64, false>(
+                        &l,
+                        i,
+                        b[i],
+                        &det_levels,
+                        Triangle::Lower,
+                    );
+                    fast_levels[i] = CompiledSptrsv::row_solve::<f64, true>(
+                        &l,
+                        i,
+                        b[i],
+                        &fast_levels,
+                        Triangle::Lower,
+                    );
+                }
             }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&det_levels), bits(&det), "seed={seed} deterministic");
+            assert_eq!(bits(&fast_levels), bits(&fast), "seed={seed} fast");
         }
     }
 
@@ -591,8 +506,6 @@ mod tests {
         let plan = CompiledSptrsv::compile_lower(&a).unwrap();
         assert_eq!(plan.level_count(), 6 + 9 - 1);
         assert_eq!(plan.nrows(), 54);
-        assert!(plan.max_level_width() <= 6);
-        assert!(plan.avg_level_width() > 1.0);
     }
 
     #[test]
@@ -616,9 +529,7 @@ mod tests {
         let mut reference = vec![0.0; 64];
         plan.solve_serial(&l, &b, &mut reference).unwrap();
         let mut fast = vec![0.0; 64];
-        let mut scratch = vec![0.0; plan.max_level_width()];
-        plan.execute_fast(&l, &b, &mut fast, 4, &mut scratch)
-            .unwrap();
+        plan.solve_fast(&l, &b, &mut fast).unwrap();
         for (r, f) in reference.iter().zip(&fast) {
             assert!((r - f).abs() <= 1e-9 * (1.0 + r.abs()));
         }
@@ -636,17 +547,18 @@ mod tests {
     }
 
     #[test]
-    fn scratch_too_small_is_rejected() {
+    fn wrong_lengths_are_rejected() {
         let a = generate::poisson2d::<f64>(8, 8);
         let plan = CompiledSptrsv::compile_lower(&a).unwrap();
-        let b = vec![1.0; 64];
         let mut x = vec![0.0; 64];
-        let mut scratch = vec![0.0; 1];
-        if plan.max_level_width() > 1 {
-            assert!(matches!(
-                plan.execute(&a, &b, &mut x, 4, &mut scratch),
-                Err(SparseError::DimensionMismatch { .. })
-            ));
-        }
+        assert!(matches!(
+            plan.solve_fast(&a, &[1.0; 63], &mut x),
+            Err(SparseError::DimensionMismatch { .. })
+        ));
+        let mut short = vec![0.0; 63];
+        assert!(matches!(
+            plan.solve_serial(&a, &[1.0; 64], &mut short),
+            Err(SparseError::DimensionMismatch { .. })
+        ));
     }
 }

@@ -1,7 +1,7 @@
 //! Seeded property test for band patching: a `CompiledSpmv` patched from
 //! a pattern delta must be **bitwise identical** to a from-scratch
 //! compile of the evolved pattern — identical as a plan (same bands, same
-//! slot packing) and identical in execution at 1, 2, and 8 threads.
+//! slot packing) and identical in execution through `execute`.
 //!
 //! Patterns are drawn from every `RowDistribution` family (exercising
 //! Fixed, ELL, unrolled-CSR, scalar, and dense-row bands), plans are
@@ -14,9 +14,6 @@ use acamar::fabric::FabricSpec;
 use acamar::sparse::generate::{self, RowDistribution};
 use acamar::sparse::rng::DetRng;
 use acamar::sparse::{BandHint, CompiledSpmv, CsrMatrix, PatternDelta};
-
-/// Thread counts the patched/scratch agreement must hold under.
-const THREADS: [usize; 3] = [1, 2, 8];
 
 fn families(case: u64) -> RowDistribution {
     match case % 5 {
@@ -62,29 +59,6 @@ fn drop_leading_entries(a: &CsrMatrix<f64>, rows: &[usize]) -> CsrMatrix<f64> {
     CsrMatrix::try_from_parts(a.nrows(), a.ncols(), row_ptr, cols, vals).unwrap()
 }
 
-/// Band-parallel execution with `threads` workers, each walking whole
-/// bands into its slice of `y` — the same decomposition the software
-/// kernels use.
-fn parallel_execute(
-    plan: &CompiledSpmv,
-    a: &CsrMatrix<f64>,
-    x: &[f64],
-    threads: usize,
-) -> Vec<f64> {
-    let mut y = vec![0.0_f64; a.nrows()];
-    let spans = plan.partition(threads);
-    std::thread::scope(|s| {
-        let mut rest = y.as_mut_slice();
-        for span in spans {
-            let rows = plan.span_rows(span.clone());
-            let (head, tail) = rest.split_at_mut(rows.len());
-            rest = tail;
-            s.spawn(move || plan.execute_span(span, a, x, head));
-        }
-    });
-    y
-}
-
 fn assert_bits_eq(got: &[f64], want: &[f64], ctx: &str) {
     assert_eq!(got.len(), want.len(), "{ctx}: length mismatch");
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
@@ -96,8 +70,8 @@ fn assert_bits_eq(got: &[f64], want: &[f64], ctx: &str) {
     }
 }
 
-/// Asserts `patched == scratch` as plans and as executors at every
-/// thread count, against the generic CSR walk as ground truth.
+/// Asserts `patched == scratch` as plans and as executors, against the
+/// generic CSR walk as ground truth.
 fn assert_patch_equivalence(
     patched: &CompiledSpmv,
     scratch: &CompiledSpmv,
@@ -110,16 +84,12 @@ fn assert_patch_equivalence(
     let mut rng = DetRng::seed_from_u64(seed ^ 0x5EED);
     let x: Vec<f64> = (0..a.ncols()).map(|_| rng.gen_range(-4.0..4.0)).collect();
     let expected = a.mul_vec(&x).unwrap();
-    for threads in THREADS {
-        let yp = parallel_execute(patched, a, &x, threads);
-        let ys = parallel_execute(scratch, a, &x, threads);
-        assert_bits_eq(
-            &yp,
-            &ys,
-            &format!("{ctx} threads={threads} patched/scratch"),
-        );
-        assert_bits_eq(&yp, &expected, &format!("{ctx} threads={threads} vs csr"));
-    }
+    let mut yp = vec![0.0_f64; a.nrows()];
+    patched.execute(a, &x, &mut yp).unwrap();
+    let mut ys = vec![0.0_f64; a.nrows()];
+    scratch.execute(a, &x, &mut ys).unwrap();
+    assert_bits_eq(&yp, &ys, &format!("{ctx} patched/scratch"));
+    assert_bits_eq(&yp, &expected, &format!("{ctx} vs csr"));
 }
 
 #[test]

